@@ -1,7 +1,7 @@
 # Pre-merge gate: `make ci` must pass before any change lands.
 GO ?= go
 
-.PHONY: ci build vet test race shuffle fuzz-smoke vulncheck bench bench-smoke replay-smoke swap-smoke gate-smoke heal-smoke overload-smoke trace-smoke load-smoke shard-smoke
+.PHONY: ci build vet test race shuffle fuzz-smoke vulncheck bench bench-handler bench-smoke replay-smoke swap-smoke gate-smoke heal-smoke overload-smoke trace-smoke load-smoke shard-smoke
 
 ci: vet race shuffle fuzz-smoke vulncheck bench-smoke replay-smoke swap-smoke gate-smoke heal-smoke overload-smoke trace-smoke load-smoke shard-smoke ## full pre-merge gate
 
@@ -22,10 +22,14 @@ race:
 shuffle:
 	$(GO) test -shuffle=on ./...
 
-# Ten seconds of coverage-guided fuzzing over the DIMACS parser — a
-# smoke pass catching regressions in input hardening, not a deep campaign.
+# Ten seconds of coverage-guided fuzzing per target — the DIMACS parser,
+# and the /distance query parser and response encoder against the
+# stdlib — a smoke pass catching regressions in input hardening and
+# wire format, not a deep campaign.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseDIMACS -fuzztime=10s ./internal/graph
+	$(GO) test -run='^$$' -fuzz='^FuzzQueryParam$$' -fuzztime=10s ./internal/server
+	$(GO) test -run='^$$' -fuzz='^FuzzDistanceJSON$$' -fuzztime=10s ./internal/server
 
 # Known-vulnerability scan; skips gracefully where govulncheck or the
 # vulndb is unavailable (offline CI, hermetic builders).
@@ -90,6 +94,11 @@ shard-smoke:
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
+
+# The /distance handler rungs (guarded, unguarded, shard) through
+# Server.Handler(), with allocations, plus the allocation ceiling test.
+bench-handler:
+	$(GO) test -run='^TestDistanceHandlerAllocs$$' -bench='^BenchmarkDistanceHandler$$' -benchmem ./internal/server
 
 # Telemetry smoke benchmark: quick traced build + timed queries through
 # the telemetry histograms; emits BENCH_telemetry.json with p50/p95/p99.

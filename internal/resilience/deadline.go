@@ -26,11 +26,13 @@ const BudgetHeader = "X-Rne-Budget-Ms"
 // whether a parseable budget header was present. A zero or negative
 // budget is returned as-is (the caller answers 504 without doing work).
 func ParseBudget(r *http.Request) (time.Duration, bool) {
-	raw := r.Header.Get(BudgetHeader)
-	if raw == "" {
+	// BudgetHeader is canonical, so the map is indexed directly,
+	// without Get's canonicalization.
+	v := r.Header[BudgetHeader]
+	if len(v) == 0 || v[0] == "" {
 		return 0, false
 	}
-	ms, err := strconv.ParseFloat(raw, 64)
+	ms, err := strconv.ParseFloat(v[0], 64)
 	if err != nil {
 		return 0, false
 	}
@@ -62,49 +64,76 @@ func retryAfterHint(d time.Duration, jitter float64) string {
 	return strconv.Itoa(int(secs + 0.5))
 }
 
-// deadlineWriter buffers the handler's response so a handler racing its
-// deadline can never interleave a half-written body with the timeout
-// response — the same discipline as http.TimeoutHandler, which this
-// middleware replaces to add budget propagation and 504 semantics.
+// deadlineWriter buffers the handler's response, so a request that
+// overran its deadline is answered 503/504 alone, never with a
+// half-written body in front. It is used by one goroutine at a time:
+// Deadline runs the handler inline and flushes or drops the buffer
+// after it returns.
 type deadlineWriter struct {
-	mu       sync.Mutex
-	h        http.Header
-	buf      bytes.Buffer
-	status   int
-	timedOut bool
+	h      http.Header
+	buf    bytes.Buffer
+	status int
 }
+
+// deadlineWriters recycles the buffers of finished requests.
+var deadlineWriters = sync.Pool{New: func() any { return &deadlineWriter{h: make(http.Header)} }}
+
+// maxPooledBody bounds the buffer a deadlineWriter keeps for reuse, so
+// one large /batch answer does not pin its memory in the pool.
+const maxPooledBody = 64 << 10
 
 func (w *deadlineWriter) Header() http.Header { return w.h }
 
 func (w *deadlineWriter) WriteHeader(code int) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.timedOut || w.status != 0 {
-		return
+	if w.status == 0 {
+		w.status = code
 	}
-	w.status = code
 }
 
 func (w *deadlineWriter) Write(p []byte) (int, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.timedOut {
-		return 0, http.ErrHandlerTimeout
-	}
 	if w.status == 0 {
 		w.status = http.StatusOK
 	}
 	return w.buf.Write(p)
 }
 
+// flushTo copies the buffered headers, status and body to dst.
+func (w *deadlineWriter) flushTo(dst http.ResponseWriter) {
+	h := dst.Header()
+	for k, v := range w.h {
+		h[k] = v
+	}
+	if w.status == 0 {
+		w.status = http.StatusOK
+	}
+	dst.WriteHeader(w.status)
+	dst.Write(w.buf.Bytes())
+}
+
+func (w *deadlineWriter) release() {
+	clear(w.h)
+	w.status = 0
+	if w.buf.Cap() > maxPooledBody {
+		w.buf = bytes.Buffer{}
+	}
+	w.buf.Reset()
+	deadlineWriters.Put(w)
+}
+
 // Deadline bounds each request by the tighter of the local timeout and
 // the forwarded deadline budget (BudgetHeader). When the local timeout
-// fires the request is answered 503 (the replica's own limit); when the
-// forwarded budget is exhausted it is answered 504 — the distinction
-// lets a gateway tell "this replica is slow" from "the client's
-// deadline ran out while we worked". Both carry a jittered Retry-After.
-// The handler's context is canceled either way, so cooperative handlers
-// abandon the work instead of computing an answer nobody will read.
+// passes the request is answered 503 (the replica's own limit); when
+// the forwarded budget is exhausted it is answered 504 — the
+// distinction lets a gateway tell "this replica is slow" from "the
+// client's deadline ran out while we worked". Both carry a jittered
+// Retry-After.
+//
+// The handler runs inline on the caller's goroutine under a context
+// carrying the deadline, with its response buffered. The context is
+// canceled at the deadline, so cooperative handlers abandon the work
+// and return then; a handler that ignores its context gets its 503/504
+// when it returns. Either way the buffered response is dropped, and
+// nothing is written if the client went away first.
 func Deadline(next http.Handler, local time.Duration, jitter float64, retryAfter time.Duration, st *Stats) http.Handler {
 	var exhaustedLocal, exhaustedBudget *counterOrNil
 	if st != nil {
@@ -136,58 +165,32 @@ func Deadline(next http.Handler, local time.Duration, jitter float64, retryAfter
 		}
 		ctx, cancel := context.WithTimeout(r.Context(), budget)
 		defer cancel()
-		r = r.WithContext(ctx)
-		dw := &deadlineWriter{h: make(http.Header)}
-		done := make(chan struct{})
-		panicChan := make(chan any, 1)
-		go func() {
-			defer func() {
-				if p := recover(); p != nil {
-					panicChan <- p
-				}
-			}()
-			next.ServeHTTP(dw, r)
-			close(done)
-		}()
-		select {
-		case p := <-panicChan:
-			panic(p)
-		case <-done:
-			dw.mu.Lock()
-			defer dw.mu.Unlock()
-			dst := w.Header()
-			for k, v := range dw.h {
-				dst[k] = v
-			}
-			if dw.status == 0 {
-				dw.status = http.StatusOK
-			}
-			w.WriteHeader(dw.status)
-			w.Write(dw.buf.Bytes())
-		case <-ctx.Done():
-			dw.mu.Lock()
-			dw.timedOut = true
-			dw.mu.Unlock()
-			if context.Cause(ctx) == context.Canceled {
-				// The client went away (parent context canceled): there is
-				// no one to answer, so write nothing.
-				telemetry.TraceEvent(r.Context(), "client_gone", "canceled before completion")
-				return
-			}
-			status := http.StatusServiceUnavailable
-			msg := fmt.Sprintf("request exceeded %v deadline", budget)
-			if fromBudget {
-				status = http.StatusGatewayTimeout
-				msg = fmt.Sprintf("deadline budget of %v exhausted", budget)
-				exhaustedBudget.inc()
-				telemetry.TraceEvent(r.Context(), "budget_exhausted", msg)
-			} else {
-				exhaustedLocal.inc()
-				telemetry.TraceEvent(r.Context(), "deadline_exceeded", msg)
-			}
-			w.Header().Set("Retry-After", retryAfterHint(retryAfter, jitter))
-			writeJSONError(w, status, msg)
+		dw := deadlineWriters.Get().(*deadlineWriter)
+		defer dw.release()
+		next.ServeHTTP(dw, r.WithContext(ctx))
+		if ctx.Err() == nil {
+			dw.flushTo(w)
+			return
 		}
+		if context.Cause(ctx) == context.Canceled {
+			// The client went away (parent context canceled): there is
+			// no one to answer, so write nothing.
+			telemetry.TraceEvent(ctx, "client_gone", "canceled before completion")
+			return
+		}
+		status := http.StatusServiceUnavailable
+		msg := fmt.Sprintf("request exceeded %v deadline", budget)
+		if fromBudget {
+			status = http.StatusGatewayTimeout
+			msg = fmt.Sprintf("deadline budget of %v exhausted", budget)
+			exhaustedBudget.inc()
+			telemetry.TraceEvent(ctx, "budget_exhausted", msg)
+		} else {
+			exhaustedLocal.inc()
+			telemetry.TraceEvent(ctx, "deadline_exceeded", msg)
+		}
+		w.Header().Set("Retry-After", retryAfterHint(retryAfter, jitter))
+		writeJSONError(w, status, msg)
 	})
 }
 

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -154,6 +155,29 @@ func TestDeadlineCancelsHandlerContext(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("handler context never canceled")
+	}
+}
+
+// A handler that ignores its context runs to completion inline and is
+// answered 503 when it returns: its late body is dropped, and nothing
+// of it runs on after the answer.
+func TestDeadlineNonCooperativeHandlerAnsweredOnReturn(t *testing.T) {
+	var finished atomic.Bool
+	h := Deadline(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(60 * time.Millisecond)
+		w.Write([]byte("late"))
+		finished.Store(true)
+	}), 10*time.Millisecond, 0, time.Second, nil)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/", nil))
+	if !finished.Load() {
+		t.Fatal("answered before the handler returned")
+	}
+	if rec.Code != http.StatusServiceUnavailable || strings.Contains(rec.Body.String(), "late") {
+		t.Fatalf("got %d %q, want a 503 without the late body", rec.Code, rec.Body.String())
+	}
+	if rec.Header().Get("Retry-After") == "" {
+		t.Fatal("503 missing Retry-After")
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime/debug"
+	"sync"
 	"time"
 
 	"repro/internal/telemetry"
@@ -77,12 +78,12 @@ func (o Options) withDefaults() Options {
 }
 
 // Wrap assembles the standard production stack around next, outermost
-// first: stats/logging, panic recovery, concurrency limiting (static or
-// adaptive), then the per-request deadline. Recovery sits inside
-// accounting so panics are counted as 500s; the limiter sits inside
-// recovery so even a limiter bug cannot kill the process; the deadline
-// is innermost so shed requests never consume a timer and the latency
-// the adaptive limiter observes includes time spent at the deadline.
+// first: panic recovery with stats/logging, concurrency limiting
+// (static or adaptive), then the per-request deadline. Recovery and
+// accounting share one layer, so panics are counted as 500s and even a
+// limiter bug cannot kill the process; the deadline is innermost so
+// shed requests never consume a timer and the latency the adaptive
+// limiter observes includes time spent at the deadline.
 func Wrap(next http.Handler, o Options) http.Handler {
 	o = o.withDefaults()
 	h := next
@@ -108,11 +109,7 @@ func Wrap(next http.Handler, o Options) http.Handler {
 	if !limited && o.MaxInFlight > 0 {
 		h = limiter(h, o.MaxInFlight, o.RetryAfter, o.RetryAfterJitter, o.Stats)
 	}
-	h = Recover(h, o.Logger, o.Stats)
-	if o.Stats != nil || o.Logger != nil {
-		h = Observe(h, o.Stats, o.Logger)
-	}
-	return h
+	return Observe(h, o.Stats, o.Logger)
 }
 
 // statusRecorder captures the status code a handler wrote so the
@@ -142,62 +139,10 @@ func writeJSONError(w http.ResponseWriter, status int, msg string) {
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg})
 }
 
-// Recover converts a handler panic into a 500 response and a stack
-// log, leaving the server alive. The repanic of http.ErrAbortHandler
-// is preserved so deliberate connection aborts keep their stdlib
-// semantics. A nil logger discards the reports.
-func Recover(next http.Handler, logger *slog.Logger, st *Stats) http.Handler {
-	logger = telemetry.OrNop(logger)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		sr := &statusRecorder{ResponseWriter: w}
-		defer func() {
-			rec := recover()
-			if rec == nil {
-				return
-			}
-			if rec == http.ErrAbortHandler {
-				panic(rec)
-			}
-			if st != nil {
-				st.panics.Inc()
-			}
-			logger.Error("panic serving request",
-				"method", r.Method, "path", r.URL.Path,
-				"request_id", telemetry.RequestIDFrom(r.Context()),
-				"panic", fmt.Sprint(rec), "stack", string(debug.Stack()))
-			// Only answer if the handler had not started a response;
-			// otherwise the connection is already poisoned and closing
-			// it is all we can do.
-			if sr.status == 0 {
-				writeJSONError(w, http.StatusInternalServerError, "internal server error")
-			}
-		}()
-		next.ServeHTTP(sr, r)
-	})
-}
-
-// Timeout attaches a deadline to each request's context and answers
-// 503 if the handler has not finished by then. Response bodies are
-// buffered by the underlying http.TimeoutHandler, so a handler racing
-// its deadline can never interleave a half-written body with the
-// timeout response.
-//
-// Wrap no longer uses this: the Deadline middleware subsumes it, adding
-// forwarded-budget (504) semantics and a Retry-After hint. Timeout is
-// kept for callers composing their own stacks.
-func Timeout(next http.Handler, d time.Duration) http.Handler {
-	body, _ := json.Marshal(map[string]string{"error": fmt.Sprintf("request exceeded %v deadline", d)})
-	return http.TimeoutHandler(next, d, string(body))
-}
-
-// Limiter sheds load once maxInFlight requests are already being
-// served, answering 429 with a Retry-After hint instead of queueing
-// unboundedly. Admission is a non-blocking semaphore acquire, so shed
-// requests cost O(1) regardless of saturation.
-func Limiter(next http.Handler, maxInFlight int, retryAfter time.Duration, st *Stats) http.Handler {
-	return limiter(next, maxInFlight, retryAfter, 0, st)
-}
-
+// limiter sheds load once maxInFlight requests are already being
+// served, answering 429 with a jittered Retry-After hint instead of
+// queueing unboundedly. Admission is a non-blocking semaphore acquire,
+// so shed requests cost O(1) regardless of saturation.
 func limiter(next http.Handler, maxInFlight int, retryAfter time.Duration, jitter float64, st *Stats) http.Handler {
 	sem := make(chan struct{}, maxInFlight)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -219,24 +164,52 @@ func limiter(next http.Handler, maxInFlight int, retryAfter time.Duration, jitte
 	})
 }
 
-// Observe records per-request status and latency into st (overall and
-// per-route histograms) and emits one structured access-log line per
-// request, tagged with the request ID when the telemetry.RequestID
-// middleware is installed. A nil logger discards the access log.
+// recorders recycles the status recorders Observe wraps around each
+// response writer.
+var recorders = sync.Pool{New: func() any { return new(statusRecorder) }}
+
+// Observe is the outermost resilience layer. It converts a handler
+// panic into a 500 response and a stack log, leaving the server alive;
+// a repanic of http.ErrAbortHandler is preserved so deliberate
+// connection aborts keep their stdlib semantics. It records every
+// request's status and latency into st (overall and per-route
+// histograms) when st is non-nil, and emits one structured access-log
+// line per request, tagged with the request ID when the
+// telemetry.RequestID middleware is installed, when logger is non-nil.
 func Observe(next http.Handler, st *Stats, logger *slog.Logger) http.Handler {
-	logger = telemetry.OrNop(logger)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		if st != nil {
 			st.inFlight.Add(1)
 		}
-		sr := &statusRecorder{ResponseWriter: w}
+		sr := recorders.Get().(*statusRecorder)
+		*sr = statusRecorder{ResponseWriter: w}
 		defer func() {
+			rec := recover()
+			if rec != nil && rec != http.ErrAbortHandler {
+				if st != nil {
+					st.panics.Inc()
+				}
+				if logger != nil {
+					logger.Error("panic serving request",
+						"method", r.Method, "path", r.URL.Path,
+						"request_id", telemetry.RequestIDFrom(r.Context()),
+						"panic", fmt.Sprint(rec), "stack", string(debug.Stack()))
+				}
+				// Only answer if the handler had not started a response;
+				// otherwise the connection is already poisoned and closing
+				// it is all we can do.
+				if sr.status == 0 {
+					writeJSONError(sr, http.StatusInternalServerError, "internal server error")
+				}
+			}
 			elapsed := time.Since(start)
 			status := sr.status
 			if status == 0 {
 				status = http.StatusOK
 			}
+			*sr = statusRecorder{}
+			recorders.Put(sr)
 			if st != nil {
 				st.inFlight.Add(-1)
 				// Observe runs inside the trace middleware, so the context
@@ -246,10 +219,15 @@ func Observe(next http.Handler, st *Stats, logger *slog.Logger) http.Handler {
 				st.observe(status, elapsed, traceID)
 				st.observeRoute(r.URL.Path, elapsed, traceID)
 			}
-			logger.Info("request",
-				"method", r.Method, "path", r.URL.Path, "status", status,
-				"duration", elapsed.Round(time.Microsecond),
-				"request_id", telemetry.RequestIDFrom(r.Context()))
+			if logger != nil {
+				logger.Info("request",
+					"method", r.Method, "path", r.URL.Path, "status", status,
+					"duration", elapsed.Round(time.Microsecond),
+					"request_id", telemetry.RequestIDFrom(r.Context()))
+			}
+			if rec == http.ErrAbortHandler {
+				panic(rec)
+			}
 		}()
 		next.ServeHTTP(sr, r)
 	})

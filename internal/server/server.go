@@ -305,7 +305,7 @@ func (s *Server) Handler() http.Handler {
 }
 
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }
@@ -314,10 +314,9 @@ func (s *Server) fail(w http.ResponseWriter, status int, format string, args ...
 	s.writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// vertexParam parses a vertex id query parameter against the snapshot
-// actually serving this request.
-func (s *Server) vertexParam(sn *snapshot, r *http.Request, name string) (int32, error) {
-	raw := r.URL.Query().Get(name)
+// vertexParam parses the vertex id raw given as query parameter name
+// against the snapshot actually serving this request.
+func vertexParam(sn *snapshot, name, raw string) (int32, error) {
 	if raw == "" {
 		return 0, fmt.Errorf("missing parameter %q", name)
 	}
@@ -399,10 +398,11 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// wantExplain reports whether the request opted into provenance
-// (?explain=1 or any other truthy value strconv accepts).
-func wantExplain(r *http.Request) bool {
-	ok, _ := strconv.ParseBool(r.URL.Query().Get("explain"))
+// wantExplain reports whether the explain parameter value raw opts
+// into provenance (explain=1 or any other truthy value strconv
+// accepts).
+func wantExplain(raw string) bool {
+	ok, _ := strconv.ParseBool(raw)
 	return ok
 }
 
@@ -494,37 +494,37 @@ func (s *Server) misdirect(w http.ResponseWriter, sn *snapshot, src int32) {
 }
 
 func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
+	var start time.Time
+	if s.qlog != nil {
+		start = time.Now()
+	}
 	sn := s.active.Load()
-	src, err := s.vertexParam(sn, r, "s")
+	var q [3]string
+	queryParams(r.URL.RawQuery, distanceParams, q[:])
+	src, err := vertexParam(sn, "s", q[0])
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	dst, err := s.vertexParam(sn, r, "t")
+	dst, err := vertexParam(sn, "t", q[1])
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if sv := sn.view.shard; sv != nil && !sv.Owns(src) {
+	sv := sn.view.shard
+	if sv != nil && !sv.Owns(src) {
 		s.misdirect(w, sn, src)
 		return
 	}
-	explain := wantExplain(r)
+	explain := wantExplain(q[2])
+	a := distanceAnswer{S: src, T: dst, CrossShard: sv != nil && sv.CrossShard(src, dst)}
 	if sn.guard != nil {
 		var g hybrid.GuardResult
-		out := map[string]any{"s": src, "t": dst}
-		if sv := sn.view.shard; sv != nil && sv.CrossShard(src, dst) {
-			out["cross_shard"] = true
-		}
 		_, gspan := telemetry.StartChild(r.Context(), "guard")
 		if explain {
 			var ge guardExplanation
 			g, ge = s.explainGuard(sn, src, dst)
-			out["guard"] = ge
-			if sn.view.full != nil {
-				out["model"] = sn.view.full.ExplainEstimate(src, dst)
-			}
+			a.Guard = &ge
 		} else {
 			g = s.guardedEstimate(sn, src, dst)
 		}
@@ -532,24 +532,20 @@ func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request) {
 			gspan.SetAttr("clamp", clampDirection(g))
 		}
 		gspan.End()
-		out["distance"], out["lo"], out["hi"] = g.Est, g.Lo, g.Hi
-		out["clamped"] = g.ClampedLow || g.ClampedHigh
+		a.Guarded, a.Clamped = true, g.ClampedLow || g.ClampedHigh
+		a.Distance, a.Lo, a.Hi = g.Est, g.Lo, g.Hi
 		s.logQuery(r, "/distance", src, dst, g.Est, &g, start)
-		s.writeJSON(w, http.StatusOK, out)
-		return
-	}
-	_, kspan := telemetry.StartChild(r.Context(), "kernel")
-	est := sn.view.Estimate(src, dst)
-	kspan.End()
-	out := map[string]any{"s": src, "t": dst, "distance": est}
-	if sv := sn.view.shard; sv != nil && sv.CrossShard(src, dst) {
-		out["cross_shard"] = true
+	} else {
+		_, kspan := telemetry.StartChild(r.Context(), "kernel")
+		a.Distance = sn.view.Estimate(src, dst)
+		kspan.End()
+		s.logQuery(r, "/distance", src, dst, a.Distance, nil, start)
 	}
 	if explain && sn.view.full != nil {
-		out["model"] = sn.view.full.ExplainEstimate(src, dst)
+		ex := sn.view.full.ExplainEstimate(src, dst)
+		a.Model = &ex
 	}
-	s.logQuery(r, "/distance", src, dst, est, nil, start)
-	s.writeJSON(w, http.StatusOK, out)
+	writeAnswer(w, &a)
 }
 
 // handleExplain is the dedicated provenance endpoint: the response a
@@ -567,12 +563,12 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusNotImplemented, "explain requires the full model (this replica serves the compact variant)")
 		return
 	}
-	src, err := s.vertexParam(sn, r, "s")
+	src, err := vertexParam(sn, "s", queryParam(r.URL.RawQuery, "s"))
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	dst, err := s.vertexParam(sn, r, "t")
+	dst, err := vertexParam(sn, "t", queryParam(r.URL.RawQuery, "t"))
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
@@ -689,7 +685,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	explain := wantExplain(r)
+	explain := wantExplain(queryParam(r.URL.RawQuery, "explain"))
 	var explanations []batchExplanation
 	if explain {
 		explanations = make([]batchExplanation, len(ss))
@@ -803,12 +799,12 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusNotImplemented, "no spatial index loaded")
 		return
 	}
-	src, err := s.vertexParam(sn, r, "s")
+	src, err := vertexParam(sn, "s", queryParam(r.URL.RawQuery, "s"))
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	k, err := strconv.Atoi(r.URL.Query().Get("k"))
+	k, err := strconv.Atoi(queryParam(r.URL.RawQuery, "k"))
 	if err != nil || k < 1 || k > sn.idx.Size() {
 		s.fail(w, http.StatusBadRequest, "k must be in [1,%d]", sn.idx.Size())
 		return
@@ -824,7 +820,7 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	}
 	kspan.End()
 	resp := map[string]any{"targets": results, "distances": dists}
-	if wantExplain(r) {
+	if wantExplain(queryParam(r.URL.RawQuery, "explain")) {
 		resp["stats"] = st
 	}
 	s.writeJSON(w, http.StatusOK, resp)
@@ -836,12 +832,12 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusNotImplemented, "no spatial index loaded")
 		return
 	}
-	src, err := s.vertexParam(sn, r, "s")
+	src, err := vertexParam(sn, "s", queryParam(r.URL.RawQuery, "s"))
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	tau, err := strconv.ParseFloat(r.URL.Query().Get("tau"), 64)
+	tau, err := strconv.ParseFloat(queryParam(r.URL.RawQuery, "tau"), 64)
 	if err != nil || tau < 0 {
 		s.fail(w, http.StatusBadRequest, "tau must be a non-negative number")
 		return
@@ -854,7 +850,7 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 		results = []int32{}
 	}
 	resp := map[string]any{"targets": results}
-	if wantExplain(r) {
+	if wantExplain(queryParam(r.URL.RawQuery, "explain")) {
 		resp["stats"] = st
 	}
 	s.writeJSON(w, http.StatusOK, resp)

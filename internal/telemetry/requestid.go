@@ -2,11 +2,10 @@ package telemetry
 
 import (
 	"context"
-	"crypto/rand"
+	"encoding/binary"
 	"encoding/hex"
-	"fmt"
+	"math/rand/v2"
 	"net/http"
-	"sync/atomic"
 )
 
 // RequestIDHeader is the header request IDs arrive on and are echoed
@@ -16,27 +15,45 @@ const RequestIDHeader = "X-Request-Id"
 
 type requestIDKey struct{}
 
+// requestIDCtx is the context the RequestID middleware hands down. It
+// is the request's one allocation for its ID: the context, the ID and
+// the one-element header value echoing it share it.
+type requestIDCtx struct {
+	context.Context
+	id     string
+	header [1]string
+}
+
+func (c *requestIDCtx) Value(key any) any {
+	if _, ok := key.(requestIDKey); ok {
+		return c
+	}
+	return c.Context.Value(key)
+}
+
 // WithRequestID attaches a request ID to the context.
 func WithRequestID(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, requestIDKey{}, id)
+	return &requestIDCtx{Context: ctx, id: id}
 }
 
 // RequestIDFrom returns the context's request ID, or "" when none was
 // attached (e.g. the middleware is not installed).
 func RequestIDFrom(ctx context.Context) string {
-	id, _ := ctx.Value(requestIDKey{}).(string)
-	return id
+	if c, ok := ctx.Value(requestIDKey{}).(*requestIDCtx); ok {
+		return c.id
+	}
+	return ""
 }
 
-// fallbackSeq numbers request IDs when crypto/rand is unavailable.
-var fallbackSeq atomic.Int64
-
+// newRequestID mints 16 random hex digits. IDs correlate log lines and
+// are not secrets (a client may choose its own), so the runtime's
+// generator serves; it cannot fail and takes no lock.
 func newRequestID() string {
 	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return fmt.Sprintf("req-%d", fallbackSeq.Add(1))
-	}
-	return hex.EncodeToString(b[:])
+	binary.LittleEndian.PutUint64(b[:], rand.Uint64())
+	var h [16]byte
+	hex.Encode(h[:], b[:])
+	return string(h[:])
 }
 
 // sanitizeRequestID accepts a client-supplied ID only if it is short
@@ -61,11 +78,18 @@ func sanitizeRequestID(s string) string {
 // stores it in the request context for access logging.
 func RequestID(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := sanitizeRequestID(r.Header.Get(RequestIDHeader))
+		// RequestIDHeader is canonical, so the map is indexed directly,
+		// without Get's canonicalization.
+		var id string
+		if v := r.Header[RequestIDHeader]; len(v) > 0 {
+			id = sanitizeRequestID(v[0])
+		}
 		if id == "" {
 			id = newRequestID()
 		}
-		w.Header().Set(RequestIDHeader, id)
-		next.ServeHTTP(w, r.WithContext(WithRequestID(r.Context(), id)))
+		c := &requestIDCtx{Context: r.Context(), id: id}
+		c.header[0] = id
+		w.Header()[RequestIDHeader] = c.header[:]
+		next.ServeHTTP(w, r.WithContext(c))
 	})
 }
