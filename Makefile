@@ -1,12 +1,17 @@
 # Pre-merge gate: `make ci` must pass before any change lands.
 GO ?= go
 
-.PHONY: ci build vet test race shuffle fuzz-smoke vulncheck bench bench-handler bench-smoke replay-smoke swap-smoke gate-smoke heal-smoke overload-smoke trace-smoke load-smoke shard-smoke
+.PHONY: ci build fmt vet test race shuffle fuzz-smoke vulncheck bench bench-handler bench-smoke replay-smoke swap-smoke gate-smoke heal-smoke overload-smoke trace-smoke load-smoke shard-smoke
 
-ci: vet race shuffle fuzz-smoke vulncheck bench-smoke replay-smoke swap-smoke gate-smoke heal-smoke overload-smoke trace-smoke load-smoke shard-smoke ## full pre-merge gate
+ci: fmt vet race shuffle fuzz-smoke vulncheck bench-smoke replay-smoke swap-smoke gate-smoke heal-smoke overload-smoke trace-smoke load-smoke shard-smoke ## full pre-merge gate
 
 build:
 	$(GO) build ./...
+
+# Fails listing every tracked Go file gofmt would rewrite.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')) && \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -23,11 +28,12 @@ shuffle:
 	$(GO) test -shuffle=on ./...
 
 # Ten seconds of coverage-guided fuzzing per target — the DIMACS parser,
-# and the /distance query parser and response encoder against the
-# stdlib — a smoke pass catching regressions in input hardening and
-# wire format, not a deep campaign.
+# the model file loader, and the /distance query parser and response
+# encoder against the stdlib — a smoke pass catching regressions in
+# input hardening and wire format, not a deep campaign.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseDIMACS -fuzztime=10s ./internal/graph
+	$(GO) test -run='^$$' -fuzz='^FuzzModelLoad$$' -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzQueryParam$$' -fuzztime=10s ./internal/server
 	$(GO) test -run='^$$' -fuzz='^FuzzDistanceJSON$$' -fuzztime=10s ./internal/server
 

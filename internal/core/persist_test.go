@@ -1,12 +1,11 @@
 package core
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/binary"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -61,36 +60,6 @@ func TestModelSaveLoadV3RoundTrip(t *testing.T) {
 	modelsEqual(t, m, got)
 }
 
-// saveLegacyV2 reproduces the pre-integrity RNEMODEL2 layout byte for
-// byte, guarding backward compatibility of Load.
-func saveLegacyV2(t *testing.T, m *Model) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	if _, err := bw.WriteString("RNEMODEL2\n"); err != nil {
-		t.Fatal(err)
-	}
-	if err := binary.Write(bw, binary.LittleEndian, []float64{m.P(), m.Scale()}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Matrix().WriteTo(bw); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-func TestModelLoadAcceptsLegacyV2(t *testing.T) {
-	m := tinyModel(t)
-	got, err := Load(bytes.NewReader(saveLegacyV2(t, m)))
-	if err != nil {
-		t.Fatalf("legacy model rejected: %v", err)
-	}
-	modelsEqual(t, m, got)
-}
-
 // Truncation at every possible prefix length — including every section
 // boundary (magic, length header, payload sections, checksum trailer)
 // — must yield an error, never a model.
@@ -117,12 +86,15 @@ func TestModelLoadRejectsAllBitFlips(t *testing.T) {
 }
 
 func TestModelLoadRejectsGarbage(t *testing.T) {
+	raw := saveBytes(t, tinyModel(t))
 	cases := map[string][]byte{
 		"empty":       {},
 		"wrong magic": []byte("NOTAMODEL!\x00\x00\x00\x00"),
 		"magic only":  []byte("RNEMODEL3\n"),
 		"absurd length": append([]byte("RNEMODEL3\n"),
 			0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f),
+		// The retired pre-CRC layout: magic, then the bare payload.
+		"retired RNEMODEL2": append([]byte("RNEMODEL2\n"), raw[len(modelMagic)+8:len(raw)-4]...),
 	}
 	for name, raw := range cases {
 		if m, err := Load(bytes.NewReader(raw)); err == nil || m != nil {
@@ -130,6 +102,26 @@ func TestModelLoadRejectsGarbage(t *testing.T) {
 		} else if err.Error() == "" {
 			t.Fatalf("%s: empty error", name)
 		}
+	}
+}
+
+// A flipped high bit in the matrix row count must fail on the shape
+// check, before the loader allocates the matrix the header claims.
+func TestModelLoadCorruptShapeDoesNotAllocate(t *testing.T) {
+	raw := saveBytes(t, tinyModel(t))
+	// magic, payload length, p and scale, matrix magic, then rows.
+	rowsAt := len(modelMagic) + 8 + 16 + len("RNEM1\n")
+	mut := append([]byte(nil), raw...)
+	mut[rowsAt+2] ^= 1 << 4 // bit 20 of the little-endian row count
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m, err := Load(bytes.NewReader(mut))
+	runtime.ReadMemStats(&after)
+	if err == nil || m != nil {
+		t.Fatal("corrupt row count loaded successfully")
+	}
+	if delta := after.TotalAlloc - before.TotalAlloc; delta > 1<<20 {
+		t.Fatalf("corrupt header allocated %.1f MiB before failing: %v", float64(delta)/(1<<20), err)
 	}
 }
 

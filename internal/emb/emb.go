@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 
 	"repro/internal/partition"
@@ -92,9 +93,17 @@ func (m *Matrix) WriteTo(w io.Writer) (int64, error) {
 	return written, bw.Flush()
 }
 
-// ReadMatrix deserializes a matrix written by WriteTo.
-func ReadMatrix(r io.Reader) (*Matrix, error) {
-	br := bufio.NewReader(r)
+// readChunk is how many float64s ReadMatrix decodes per read.
+const readChunk = 4096
+
+// ReadMatrix deserializes a matrix written by WriteTo from a section
+// of exactly size bytes. The header's shape must account for all size
+// bytes; it is checked before any data is read, so a corrupt row or
+// column count fails fast. The data grows by doubling as it arrives,
+// so even a crafted header that agrees with size allocates at most
+// about twice the bytes the stream really holds.
+func ReadMatrix(r io.Reader, size int64) (*Matrix, error) {
+	br := bufio.NewReader(io.LimitReader(r, size))
 	magic := make([]byte, len(matrixMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, err
@@ -110,11 +119,25 @@ func ReadMatrix(r io.Reader) (*Matrix, error) {
 	if rows < 0 || d <= 0 || rows > 1<<31 || d > 1<<20 {
 		return nil, fmt.Errorf("emb: implausible matrix shape %dx%d", rows, d)
 	}
-	m := NewMatrix(rows, d)
-	if err := binary.Read(br, binary.LittleEndian, m.data); err != nil {
-		return nil, err
+	if need := MatrixFileSize(rows, d); need != size {
+		return nil, fmt.Errorf("emb: %dx%d matrix needs %d bytes, section holds %d", rows, d, need, size)
 	}
-	return m, nil
+	n := rows * d
+	data := make([]float64, 0, min(n, readChunk))
+	buf := make([]byte, 8*readChunk)
+	for len(data) < n {
+		k := min(n-len(data), readChunk)
+		if _, err := io.ReadFull(br, buf[:8*k]); err != nil {
+			return nil, err
+		}
+		if len(data)+k > cap(data) {
+			data = append(make([]float64, 0, min(n, 2*cap(data))), data...)
+		}
+		for i := 0; i < k; i++ {
+			data = append(data, math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:])))
+		}
+	}
+	return &Matrix{rows: rows, d: d, data: data}, nil
 }
 
 // Hier couples a partition hierarchy with a local embedding matrix (one

@@ -62,7 +62,7 @@ func TestMatrixSerializationRoundTrip(t *testing.T) {
 	if _, err := m.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	m2, err := ReadMatrix(&buf)
+	m2, err := ReadMatrix(&buf, int64(buf.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,10 +77,11 @@ func TestMatrixSerializationRoundTrip(t *testing.T) {
 }
 
 func TestReadMatrixRejectsGarbage(t *testing.T) {
-	if _, err := ReadMatrix(bytes.NewReader([]byte("not a matrix at all"))); err == nil {
+	garbage := []byte("not a matrix at all")
+	if _, err := ReadMatrix(bytes.NewReader(garbage), int64(len(garbage))); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	if _, err := ReadMatrix(bytes.NewReader(nil)); err == nil {
+	if _, err := ReadMatrix(bytes.NewReader(nil), 0); err == nil {
 		t.Fatal("empty accepted")
 	}
 }
@@ -194,37 +195,8 @@ func TestReadMatrixTruncated(t *testing.T) {
 	full := buf.Bytes()
 	// Every truncation point must fail cleanly, never panic.
 	for _, cut := range []int{0, 3, len(matrixMagic), len(matrixMagic) + 8, len(full) - 9, len(full) - 1} {
-		if _, err := ReadMatrix(bytes.NewReader(full[:cut])); err == nil {
+		if _, err := ReadMatrix(bytes.NewReader(full[:cut]), int64(len(full))); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
-		}
-	}
-}
-
-func TestReadMatrix32Truncated(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	m := NewMatrix(6, 3)
-	m.RandomInit(rng, 1)
-	c := m.Compact()
-	var buf bytes.Buffer
-	if _, err := c.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	for _, cut := range []int{0, 4, len(full) - 5, len(full) - 1} {
-		if _, err := ReadMatrix32(bytes.NewReader(full[:cut])); err == nil {
-			t.Errorf("truncation at %d accepted", cut)
-		}
-	}
-	// Round trip agrees with the source.
-	c2, err := ReadMatrix32(bytes.NewReader(full))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int32(0); i < int32(c.Rows()); i++ {
-		for j := int32(0); j < int32(c.Rows()); j++ {
-			if c.L1(i, j) != c2.L1(i, j) {
-				t.Fatal("round trip changed distances")
-			}
 		}
 	}
 }

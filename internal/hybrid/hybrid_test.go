@@ -3,6 +3,7 @@ package hybrid
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
 	"testing"
 
@@ -124,22 +125,32 @@ func pathGraph(t *testing.T) *graph.Graph {
 }
 
 // syntheticModel pins exact embedding rows by round-tripping through
-// the public model codec (the legacy format needs no checksum framing).
+// the public model codec: RNEMODEL3 framing (magic, payload length,
+// payload, CRC-32 trailer) around p, scale and an RNEM1 matrix.
 func syntheticModel(t *testing.T, rows [][]float64, scale float64) *core.Model {
 	t.Helper()
-	var buf bytes.Buffer
-	buf.WriteString("RNEMODEL2\n")
-	if err := binary.Write(&buf, binary.LittleEndian, []float64{1, scale}); err != nil {
+	var payload bytes.Buffer
+	if err := binary.Write(&payload, binary.LittleEndian, []float64{1, scale}); err != nil {
 		t.Fatal(err)
 	}
-	buf.WriteString("RNEM1\n")
-	if err := binary.Write(&buf, binary.LittleEndian, []int64{int64(len(rows)), int64(len(rows[0]))}); err != nil {
+	payload.WriteString("RNEM1\n")
+	if err := binary.Write(&payload, binary.LittleEndian, []int64{int64(len(rows)), int64(len(rows[0]))}); err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range rows {
-		if err := binary.Write(&buf, binary.LittleEndian, r); err != nil {
+		if err := binary.Write(&payload, binary.LittleEndian, r); err != nil {
 			t.Fatal(err)
 		}
+	}
+	var buf bytes.Buffer
+	buf.WriteString("RNEMODEL3\n")
+	if err := binary.Write(&buf, binary.LittleEndian, int64(payload.Len())); err != nil {
+		t.Fatal(err)
+	}
+	sum := crc32.ChecksumIEEE(payload.Bytes())
+	buf.Write(payload.Bytes())
+	if err := binary.Write(&buf, binary.LittleEndian, sum); err != nil {
+		t.Fatal(err)
 	}
 	m, err := core.Load(&buf)
 	if err != nil {

@@ -1,10 +1,10 @@
 package index
 
 import (
-	"bufio"
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -26,38 +26,14 @@ func buildSmallTree(t *testing.T) (*core.Model, *Tree, []byte) {
 	return m, tree, buf.Bytes()
 }
 
-// saveLegacyV1 reproduces the pre-integrity RNEIDX1 layout byte for
-// byte, guarding backward compatibility of Load.
-func saveLegacyV1(t *testing.T, tr *Tree) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	if _, err := bw.WriteString("RNEIDX1\n"); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.writePayload(bw); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-func TestTreeLoadAcceptsLegacyV1(t *testing.T) {
-	m, tree, _ := buildSmallTree(t)
-	got, err := Load(bytes.NewReader(saveLegacyV1(t, tree)), m)
-	if err != nil {
-		t.Fatalf("legacy index rejected: %v", err)
-	}
-	if got.Size() != tree.Size() {
-		t.Fatalf("size %d, want %d", got.Size(), tree.Size())
-	}
-	a, b := tree.KNN(5, 3), got.KNN(5, 3)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("knn differs after legacy reload: %v vs %v", a, b)
-		}
+// A file in the retired pre-CRC RNEIDX1 layout (magic, then the bare
+// payload) fails on its magic.
+func TestTreeLoadRejectsRetiredV1(t *testing.T) {
+	m, _, raw := buildSmallTree(t)
+	v1 := append([]byte("RNEIDX1\n"), raw[len(treeMagic)+8:len(raw)-4]...)
+	if tr, err := Load(bytes.NewReader(v1), m); err == nil || tr != nil ||
+		!strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("RNEIDX1 file: tree %v, error %v", tr, err)
 	}
 }
 

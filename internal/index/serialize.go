@@ -17,19 +17,12 @@ import (
 // tree's structure, per-slot vectors and radii, and the indexed target
 // lists; the model itself is saved separately (core.Model.Save).
 //
-// Two versions exist, dispatched on an 8-byte magic:
-//
-//   - treeMagicV1 is the legacy format (payload only). Files written
-//     before the integrity bump still load.
-//   - treeMagicV2 is the current format: magic, int64 payload length,
-//     payload, uint32 CRC-32 (IEEE) trailer, so Load rejects
-//     truncated or bit-flipped files with a precise error.
-const (
-	treeMagicV1 = "RNEIDX1\n"
-	treeMagicV2 = "RNEIDX2\n"
-)
+// The file is the magic, an int64 payload length, the payload, and a
+// uint32 CRC-32 (IEEE) trailer, so Load rejects truncated or
+// bit-flipped files with a precise error.
+const treeMagic = "RNEIDX2\n"
 
-// payloadSize is the exact V2 payload length.
+// payloadSize is the exact payload length.
 func (t *Tree) payloadSize() int64 {
 	n := int64(6*8 + 16) // header ints + p/scale
 	for _, s := range t.children {
@@ -47,7 +40,7 @@ func (t *Tree) payloadSize() int64 {
 	return n
 }
 
-// writePayload emits the version-independent payload section.
+// writePayload emits the payload section.
 func (t *Tree) writePayload(w io.Writer) error {
 	d := 0
 	if len(t.vectors) > 0 {
@@ -92,7 +85,7 @@ func (t *Tree) writePayload(w io.Writer) error {
 // integrity-checked format.
 func (t *Tree) Save(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(treeMagicV2); err != nil {
+	if _, err := bw.WriteString(treeMagic); err != nil {
 		return err
 	}
 	if err := binary.Write(bw, binary.LittleEndian, t.payloadSize()); err != nil {
@@ -108,21 +101,16 @@ func (t *Tree) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Load deserializes a tree saved with Save (either format version) and
-// attaches it to the given model, which must match the one the tree
-// was built with (dimension, vertex count, metric and scale are
-// verified).
+// Load deserializes a tree saved with Save and attaches it to the
+// given model, which must match the one the tree was built with
+// (dimension, vertex count, metric and scale are verified).
 func Load(r io.Reader, m *core.Model) (*Tree, error) {
 	br := bufio.NewReader(r)
-	magic := make([]byte, len(treeMagicV2))
+	magic := make([]byte, len(treeMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("index: reading magic: %w", err)
 	}
-	switch string(magic) {
-	case treeMagicV1:
-		return loadPayload(br, m)
-	case treeMagicV2:
-	default:
+	if string(magic) != treeMagic {
 		return nil, fmt.Errorf("index: bad magic %q", magic)
 	}
 	var plen int64
@@ -147,7 +135,7 @@ func Load(r io.Reader, m *core.Model) (*Tree, error) {
 	return t, nil
 }
 
-// loadPayload parses the version-independent payload section.
+// loadPayload parses the payload section.
 func loadPayload(br io.Reader, m *core.Model) (*Tree, error) {
 	var hdr [6]int64
 	if err := binary.Read(br, binary.LittleEndian, &hdr); err != nil {

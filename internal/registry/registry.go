@@ -7,7 +7,6 @@
 //	<root>/<name>/
 //	    MANIFEST.json            index of versions, pin, quarantine marks
 //	    v1/  model.rne           RNEMODEL3 (CRC-framed) model
-//	         model.compact.rne   optional float32 sibling (RNECOMPACT1)
 //	         alt.rnealt          optional ALT guard index (RNEALT1)
 //	         spatial.rneidx      optional spatial index (RNEIDX2)
 //	    v2/  ...
@@ -46,7 +45,6 @@ import (
 // Artifact file names within a version directory.
 const (
 	ModelFile   = "model.rne"
-	CompactFile = "model.compact.rne"
 	ALTFile     = "alt.rnealt"
 	SpatialFile = "spatial.rneidx"
 	// ShardMapFile is the vertex→shard routing map of a sharded
@@ -97,15 +95,10 @@ type manifest struct {
 // rest are optional siblings.
 type Artifacts struct {
 	Model *core.Model
-	// Compact additionally stores the float32 sibling (CompactFile),
-	// letting replicas started with -compact serve at half the resident
-	// model memory.
-	Compact bool
 	// ALT, when non-nil, stores the guard index alongside the model so
 	// a swapped-in version carries its own certified-bounds guard.
 	ALT *alt.Index
-	// Index, when non-nil, stores the spatial index (requires the full
-	// model to load, so compact-only replicas skip it).
+	// Index, when non-nil, stores the spatial index.
 	Index *index.Tree
 	// Shards, when non-nil, additionally publishes the version as a
 	// sharded cut (shard.Cut output): the routing map plus one
@@ -120,26 +113,19 @@ type Artifacts struct {
 type Set struct {
 	Name    string
 	Version string
-	Model   *core.Model        // nil when loaded with LoadOpts.Compact
-	Compact *core.CompactModel // nil unless published with Artifacts.Compact
+	Model   *core.Model
 	ALT     *alt.Index
 	Index   *index.Tree
 	// Shard and ShardMap are set only by LoadShard/LoadLatestShard:
-	// one shard's model (Model/Compact stay nil) plus the version's
+	// one shard's model (Model stays nil) plus the version's
 	// routing map, cross-checked against it. ALT then holds the
 	// shard's region-restricted guard rather than the full one.
 	Shard    *shard.Model
 	ShardMap *shard.Map
 }
 
-// LoadOpts tunes version loading.
-type LoadOpts struct {
-	// Compact loads the float32 sibling instead of the full model:
-	// Set.Model stays nil and the spatial index (which needs the full
-	// model) is skipped. Loading fails if the version has no compact
-	// artifact.
-	Compact bool
-}
+// LoadOpts tunes version loading. It has no options today.
+type LoadOpts struct{}
 
 // Store is a registry rooted at one directory. A Store serializes its
 // own manifest read-modify-write cycles; concurrent writers from
@@ -267,16 +253,6 @@ func (s *Store) Publish(name string, art Artifacts) (string, error) {
 	files := []string{ModelFile}
 	if err := art.Model.SaveFile(filepath.Join(stage, ModelFile)); err != nil {
 		return "", fmt.Errorf("registry: staging model: %w", err)
-	}
-	if art.Compact {
-		cm, err := art.Model.Compact()
-		if err != nil {
-			return "", fmt.Errorf("registry: compacting model: %w", err)
-		}
-		if err := cm.SaveFile(filepath.Join(stage, CompactFile)); err != nil {
-			return "", fmt.Errorf("registry: staging compact model: %w", err)
-		}
-		files = append(files, CompactFile)
 	}
 	if art.ALT != nil {
 		if art.ALT.NumVertices() != art.Model.NumVertices() {
@@ -533,38 +509,25 @@ func (s *Store) LoadVersion(name, version string, opts LoadOpts) (*Set, error) {
 	if err := checkName(name); err != nil {
 		return nil, err
 	}
-	return s.loadVersion(name, version, opts)
+	return s.loadVersion(name, version)
 }
 
-func (s *Store) loadVersion(name, version string, opts LoadOpts) (*Set, error) {
+func (s *Store) loadVersion(name, version string) (*Set, error) {
 	dir := s.Path(name, version)
-	set := &Set{Name: name, Version: version}
-
-	if opts.Compact {
-		cm, err := core.LoadCompactFile(filepath.Join(dir, CompactFile))
-		if err != nil {
-			return nil, fmt.Errorf("registry: %s/%s compact model: %w", name, version, err)
-		}
-		set.Compact = cm
-	} else {
-		m, err := core.LoadFile(filepath.Join(dir, ModelFile))
-		if err != nil {
-			return nil, fmt.Errorf("registry: %s/%s model: %w", name, version, err)
-		}
-		set.Model = m
+	m, err := core.LoadFile(filepath.Join(dir, ModelFile))
+	if err != nil {
+		return nil, fmt.Errorf("registry: %s/%s model: %w", name, version, err)
 	}
+	set := &Set{Name: name, Version: version, Model: m}
 	if lt, err := alt.LoadFile(filepath.Join(dir, ALTFile)); err == nil {
 		set.ALT = lt
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("registry: %s/%s ALT index: %w", name, version, err)
 	}
-	// The spatial index needs the full model's embedding rows.
-	if set.Model != nil {
-		if idx, err := index.LoadFile(filepath.Join(dir, SpatialFile), set.Model); err == nil {
-			set.Index = idx
-		} else if !errors.Is(err, os.ErrNotExist) {
-			return nil, fmt.Errorf("registry: %s/%s spatial index: %w", name, version, err)
-		}
+	if idx, err := index.LoadFile(filepath.Join(dir, SpatialFile), m); err == nil {
+		set.Index = idx
+	} else if !errors.Is(err, os.ErrNotExist) {
+		return nil, fmt.Errorf("registry: %s/%s spatial index: %w", name, version, err)
 	}
 	return set, nil
 }
@@ -587,7 +550,7 @@ func (s *Store) LoadLatest(name string, opts LoadOpts) (*Set, error) {
 			}
 			return nil, err
 		}
-		set, err := s.loadVersion(name, version, opts)
+		set, err := s.loadVersion(name, version)
 		if err == nil {
 			return set, nil
 		}

@@ -1,6 +1,9 @@
 package registry
 
 import (
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,6 +17,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/index"
+	"repro/internal/server"
 )
 
 // quickBuild trains a small but real model so published artifacts carry
@@ -94,7 +98,7 @@ func TestPublishAndLoadLatest(t *testing.T) {
 	}
 }
 
-func TestPublishSiblingsAndCompactLoad(t *testing.T) {
+func TestPublishSiblings(t *testing.T) {
 	s := openStore(t)
 	g, m := quickBuild(t, 3)
 	lt, err := alt.Build(g, 4, 3)
@@ -105,7 +109,24 @@ func TestPublishSiblingsAndCompactLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Publish("demo", Artifacts{Model: m, Compact: true, ALT: lt, Index: idx}); err != nil {
+	version, err := s.Publish("demo", Artifacts{Model: m, ALT: lt, Index: idx})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Versions published before the float32 variant was retired carry
+	// a model.compact.rne sibling listed in the manifest. Loading and
+	// serving must ignore it.
+	const staleCompact = "model.compact.rne"
+	if err := os.WriteFile(filepath.Join(s.Path("demo", version), staleCompact), []byte("RNECOMPACT1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	man, err := s.readManifest("demo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	man.Versions[0].Files = append(man.Versions[0].Files, staleCompact)
+	if err := s.writeManifest("demo", man); err != nil {
 		t.Fatal(err)
 	}
 
@@ -113,38 +134,25 @@ func TestPublishSiblingsAndCompactLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full.Model == nil || full.ALT == nil || full.Index == nil {
+	if full.Version != version || full.Model == nil || full.ALT == nil || full.Index == nil {
 		t.Fatalf("full load missing artifacts: %+v", full)
 	}
 	if full.ALT.NumLandmarks() != 4 || full.Index.Size() != 5 {
 		t.Fatalf("siblings wrong: landmarks=%d targets=%d", full.ALT.NumLandmarks(), full.Index.Size())
 	}
 
-	compact, err := s.LoadLatest("demo", LoadOpts{Compact: true})
+	srv, err := server.NewFromSet(server.ModelSet{Model: full.Model, Index: full.Index, Version: full.Version}, server.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if compact.Compact == nil || compact.Model != nil || compact.Index != nil {
-		t.Fatalf("compact load shape wrong: %+v", compact)
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/distance?s=1&t=60", nil))
+	var out struct{ Distance float64 }
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); rec.Code != http.StatusOK || err != nil {
+		t.Fatalf("/distance = %d %q (%v)", rec.Code, rec.Body.String(), err)
 	}
-	if compact.ALT == nil {
-		t.Fatal("compact load dropped the ALT guard")
-	}
-	want := m.Estimate(1, 60)
-	got := compact.Compact.Estimate(1, 60)
-	if rel := (got - want) / want; rel > 1e-5 || rel < -1e-5 {
-		t.Fatalf("compact estimate %v too far from full %v", got, want)
-	}
-}
-
-func TestCompactLoadWithoutSiblingFails(t *testing.T) {
-	s := openStore(t)
-	_, m := quickBuild(t, 4)
-	if _, err := s.Publish("demo", Artifacts{Model: m}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.LoadLatest("demo", LoadOpts{Compact: true}); err == nil {
-		t.Fatal("compact load succeeded without a compact artifact")
+	if want := m.Estimate(1, 60); out.Distance != want {
+		t.Fatalf("served distance %v, model estimate %v", out.Distance, want)
 	}
 }
 

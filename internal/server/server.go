@@ -130,7 +130,7 @@ func NewWithConfig(model *core.Model, idx *index.Tree, cfg Config) (*Server, err
 }
 
 // NewFromSet returns a server booted from an explicit model set — the
-// entry point for registry-resolved and compact serving. cfg.Guard is
+// entry point for registry-resolved and shard serving. cfg.Guard is
 // ignored when set.Guard is non-nil.
 func NewFromSet(set ModelSet, cfg Config) (*Server, error) {
 	if cfg.MaxBatchBytes == 0 {
@@ -334,8 +334,8 @@ func vertexParam(sn *snapshot, name, raw string) (int32, error) {
 // so probes and dashboards can tell *which* model a replica serves:
 // version label, vertex count, embedding dimension, hierarchy depth
 // (0 for loaded or naive models, which drop the partition tree),
-// whether the ALT guard is active, and whether the replica runs the
-// float32 compact variant.
+// whether the spatial index and ALT guard are active, and, on a shard
+// replica, which region it owns.
 func modelMeta(sn *snapshot) map[string]any {
 	levels := 0
 	if sn.view.full != nil {
@@ -350,7 +350,6 @@ func modelMeta(sn *snapshot) map[string]any {
 		"levels":   levels,
 		"spatial":  sn.idx != nil,
 		"guard":    sn.guard != nil,
-		"compact":  sn.view.full == nil && sn.view.shard == nil,
 	}
 	// Shard identity, so the gateway's probes (and operators) can tell
 	// which region a replica owns without a separate discovery call.
@@ -551,16 +550,12 @@ func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request) {
 // handleExplain is the dedicated provenance endpoint: the response a
 // /distance?explain=1 call would produce, plus the dominant level, in
 // one place operators can hit when debugging a suspicious estimate.
-// Compact replicas drop the per-level matrix, so they answer 501.
+// Shard replicas hold no per-level matrix, so they answer 501.
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	sn := s.active.Load()
-	if sn.view.full == nil {
-		if sv := sn.view.shard; sv != nil {
-			s.fail(w, http.StatusNotImplemented,
-				"explain requires the full per-level model (this replica serves geo-shard %d)", sv.ShardID())
-			return
-		}
-		s.fail(w, http.StatusNotImplemented, "explain requires the full model (this replica serves the compact variant)")
+	if sv := sn.view.shard; sv != nil {
+		s.fail(w, http.StatusNotImplemented,
+			"explain requires the full per-level model (this replica serves geo-shard %d)", sv.ShardID())
 		return
 	}
 	src, err := vertexParam(sn, "s", queryParam(r.URL.RawQuery, "s"))
@@ -619,8 +614,8 @@ const maxBatch = 1 << 20
 // batchExplanation is the per-pair provenance attached when /batch is
 // called with ?explain=1: compact (dominant level + clamp provenance)
 // rather than the full per-level table, which at maxBatch pairs would
-// dwarf the distances themselves. DominantLevel is -1 on compact
-// replicas, which drop the per-level decomposition.
+// dwarf the distances themselves. DominantLevel is -1 on shard
+// replicas, which hold no per-level decomposition.
 type batchExplanation struct {
 	DominantLevel int               `json:"dominant_level"`
 	Guard         *guardExplanation `json:"guard,omitempty"`

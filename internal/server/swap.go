@@ -12,23 +12,21 @@ import (
 	"repro/internal/telemetry"
 )
 
-// ModelSet is the unit of hot swapping: a model (full, compact or one
+// ModelSet is the unit of hot swapping: a model (full or one
 // geo-shard), its optional spatial index and ALT guard, and the
 // version tag reported on /healthz and the rne_model_version metric.
 // The set is installed atomically — a request is served entirely by
 // one set, never by a mix of old model and new guard.
 type ModelSet struct {
-	// Model is the full float64 model; Compact the float32 deployment
-	// variant (half the resident memory). At least one of Model,
-	// Compact or Shard is required. When only Compact is present the
-	// server serves /distance and /batch (plus guard mode) but not the
-	// explain surfaces, which need the full per-level decomposition.
-	Model   *core.Model
-	Compact *core.CompactModel
+	// Model is the full model. Exactly one of Model or Shard is
+	// required.
+	Model *core.Model
 	// Shard is one geo-shard of a split model (mutually exclusive with
-	// Model/Compact): the replica serves only its region's sources —
+	// Model): the replica serves only its region's sources —
 	// out-of-region s gets a 421 redirect hint — answering intra-shard
 	// pairs exactly and cross-shard pairs from the shared upper levels.
+	// Shard replicas do not serve the explain surfaces, which need the
+	// full per-level decomposition.
 	Shard *shard.Model
 	// Index enables /knn and /range; it requires the full model.
 	Index *index.Tree
@@ -40,71 +38,48 @@ type ModelSet struct {
 	Version string
 }
 
-// modelView is the serving-side selector over full vs compact vs shard
-// storage: the hot query path costs one nil check beyond the estimate
-// itself.
+// modelView is the serving-side selector over full vs shard storage:
+// the hot query path costs one nil check beyond the estimate itself.
 type modelView struct {
-	full    *core.Model
-	compact *core.CompactModel
-	shard   *shard.Model
+	full  *core.Model
+	shard *shard.Model
 }
 
-func (v modelView) ok() bool { return v.full != nil || v.compact != nil || v.shard != nil }
+func (v modelView) ok() bool { return v.full != nil || v.shard != nil }
 
 func (v modelView) Estimate(s, t int32) float64 {
 	if v.full != nil {
 		return v.full.Estimate(s, t)
 	}
-	if v.shard != nil {
-		return v.shard.Estimate(s, t)
-	}
-	return v.compact.Estimate(s, t)
+	return v.shard.Estimate(s, t)
 }
 
 func (v modelView) NumVertices() int {
 	if v.full != nil {
 		return v.full.NumVertices()
 	}
-	if v.shard != nil {
-		return v.shard.NumVertices()
-	}
-	return v.compact.NumVertices()
+	return v.shard.NumVertices()
 }
 
 func (v modelView) Dim() int {
 	if v.full != nil {
 		return v.full.Dim()
 	}
-	if v.shard != nil {
-		return v.shard.Dim()
-	}
-	return v.compact.Dim()
+	return v.shard.Dim()
 }
 
 func (v modelView) Scale() float64 {
 	if v.full != nil {
 		return v.full.Scale()
 	}
-	if v.shard != nil {
-		return v.shard.Scale()
-	}
-	return v.compact.Scale()
+	return v.shard.Scale()
 }
 
 func (v modelView) EstimateBatch(ss, ts []int32, out []float64) error {
 	if v.full != nil {
 		return v.full.EstimateBatch(ss, ts, out, 0)
 	}
-	if v.shard != nil {
-		return v.shard.EstimateBatch(ss, ts, out)
-	}
-	if len(ss) != len(ts) || len(ss) != len(out) {
-		return fmt.Errorf("server: batch slices must share a length")
-	}
-	for i := range ss {
-		out[i] = v.compact.Estimate(ss[i], ts[i])
-	}
-	return nil
+	return v.shard.EstimateBatch(ss, ts, out)
 }
 
 // snapshot is one immutable serving state. Handlers load it once per
@@ -135,11 +110,11 @@ type snapshot struct {
 // stale monitor would band and score drift against the old model's
 // diameter, silently corrupting the drift signal after every swap).
 func (s *Server) buildSnapshot(set ModelSet) (*snapshot, error) {
-	view := modelView{full: set.Model, compact: set.Compact, shard: set.Shard}
+	view := modelView{full: set.Model, shard: set.Shard}
 	if !view.ok() {
 		return nil, fmt.Errorf("server: nil model")
 	}
-	if set.Shard != nil && (set.Model != nil || set.Compact != nil) {
+	if set.Shard != nil && set.Model != nil {
 		return nil, fmt.Errorf("server: a set is either a shard or a whole model, not both")
 	}
 	// Region continuity: a shard replica must keep serving the same
@@ -163,10 +138,6 @@ func (s *Server) buildSnapshot(set ModelSet) (*snapshot, error) {
 	}
 	if sc := view.Scale(); !(sc > 0) || math.IsInf(sc, 0) {
 		return nil, fmt.Errorf("server: implausible model scale %v", sc)
-	}
-	if set.Model != nil && set.Compact != nil && set.Model.NumVertices() != set.Compact.NumVertices() {
-		return nil, fmt.Errorf("server: full model covers %d vertices but compact covers %d",
-			set.Model.NumVertices(), set.Compact.NumVertices())
 	}
 	if set.Guard != nil && set.Guard.NumVertices() != n {
 		return nil, fmt.Errorf("server: guard estimator covers %d vertices but model covers %d",
@@ -260,8 +231,7 @@ func (s *Server) Swap(set ModelSet) error {
 		telemetry.OrNop(s.cfg.Logger).Info("model swapped",
 			"from", prev.version, "to", sn.version,
 			"vertices", sn.view.NumVertices(), "dim", sn.view.Dim(),
-			"guard", sn.guard != nil, "spatial", sn.idx != nil,
-			"compact", sn.view.full == nil)
+			"guard", sn.guard != nil, "spatial", sn.idx != nil)
 	}
 	return nil
 }
@@ -291,14 +261,11 @@ func (s *Server) setModelGauges(sn *snapshot) {
 		reg.Gauge("rne_model_bytes", help, "component", component).Set(float64(v))
 	}
 	var embBytes, upperBytes int64
-	switch {
-	case sn.view.shard != nil:
-		embBytes = sn.view.shard.EmbeddingBytes()
-		upperBytes = sn.view.shard.UpperBytes()
-	case sn.view.full != nil:
+	if sv := sn.view.shard; sv != nil {
+		embBytes = sv.EmbeddingBytes()
+		upperBytes = sv.UpperBytes()
+	} else {
 		embBytes = sn.view.full.IndexBytes()
-	default:
-		embBytes = sn.view.compact.IndexBytes()
 	}
 	set("embeddings", embBytes)
 	set("upper", upperBytes)
