@@ -1,7 +1,7 @@
 # Pre-merge gate: `make ci` must pass before any change lands.
 GO ?= go
 
-.PHONY: ci build fmt vet test race shuffle fuzz-smoke vulncheck bench bench-handler bench-smoke replay-smoke swap-smoke gate-smoke heal-smoke overload-smoke trace-smoke load-smoke shard-smoke
+.PHONY: ci build fmt vet test race shuffle fuzz-smoke vulncheck bench bench-handler bench-guard bench-smoke replay-smoke swap-smoke gate-smoke heal-smoke overload-smoke trace-smoke load-smoke shard-smoke
 
 ci: fmt vet race shuffle fuzz-smoke vulncheck bench-smoke replay-smoke swap-smoke gate-smoke heal-smoke overload-smoke trace-smoke load-smoke shard-smoke ## full pre-merge gate
 
@@ -28,12 +28,13 @@ shuffle:
 	$(GO) test -shuffle=on ./...
 
 # Ten seconds of coverage-guided fuzzing per target — the DIMACS parser,
-# the model file loader, and the /distance query parser and response
-# encoder against the stdlib — a smoke pass catching regressions in
-# input hardening and wire format, not a deep campaign.
+# the model and ALT index file loaders, and the /distance query parser
+# and response encoder against the stdlib — a smoke pass catching
+# regressions in input hardening and wire format, not a deep campaign.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseDIMACS -fuzztime=10s ./internal/graph
 	$(GO) test -run='^$$' -fuzz='^FuzzModelLoad$$' -fuzztime=10s ./internal/core
+	$(GO) test -run='^$$' -fuzz='^FuzzALTLoad$$' -fuzztime=10s ./internal/alt
 	$(GO) test -run='^$$' -fuzz='^FuzzQueryParam$$' -fuzztime=10s ./internal/server
 	$(GO) test -run='^$$' -fuzz='^FuzzDistanceJSON$$' -fuzztime=10s ./internal/server
 
@@ -105,6 +106,14 @@ bench:
 # Server.Handler(), with allocations, plus the allocation ceiling test.
 bench-handler:
 	$(GO) test -run='^TestDistanceHandlerAllocs$$' -bench='^BenchmarkDistanceHandler$$' -benchmem ./internal/server
+
+# The guard rungs, with allocations: one landmark Bounds call at 3.6k and
+# 300k vertices next to the landmark-major reference loop on the same
+# labels, and one guarded estimate next to the bare model estimate.
+# Not part of ci: the 300k-vertex index takes seconds to build.
+bench-guard:
+	$(GO) test -run='^$$' -bench='^BenchmarkBounds$$' -benchmem ./internal/alt
+	$(GO) test -run='^$$' -bench='^BenchmarkGuard$$' -benchmem ./internal/hybrid
 
 # Telemetry smoke benchmark: quick traced build + timed queries through
 # the telemetry histograms; emits BENCH_telemetry.json with p50/p95/p99.

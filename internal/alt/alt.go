@@ -1,5 +1,6 @@
 // Package alt implements the ALT machinery of Goldberg & Harrelson: a
-// landmark set U with a precomputed |U| x |V| distance label matrix.
+// landmark set U with a precomputed |U| x |V| distance label matrix,
+// stored vertex-major so one vertex's |U| labels are contiguous.
 // Two query modes are provided:
 //
 //   - LT estimation (the paper's "LT" comparator): combine the
@@ -12,6 +13,7 @@ package alt
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/graph"
 	"repro/internal/landmark"
@@ -21,7 +23,8 @@ import (
 // Index holds the landmark label matrix.
 type Index struct {
 	g *graph.Graph
-	// labels is |U| x |V| row-major: labels[u*n+v] = d(U[u], v).
+	// labels is vertex-major: labels[v*|U|+u] = d(U[u], v), so a pair
+	// query reads two contiguous |U|-float rows.
 	labels    []float64
 	landmarks []int32
 	n         int
@@ -54,11 +57,21 @@ func BuildWithLandmarks(g *graph.Graph, landmarks []int32) (*Index, error) {
 		n:         n,
 	}
 	ws := sssp.NewWorkspace(g)
+	row := make([]float64, n)
+	nU := len(landmarks)
 	for i, u := range landmarks {
-		row := idx.labels[i*n : (i+1)*n]
 		ws.FromSource(u, row)
+		for v, d := range row {
+			idx.labels[v*nU+i] = d
+		}
 	}
 	return idx, nil
+}
+
+// row returns vertex v's |U| labels.
+func (idx *Index) row(v int32) []float64 {
+	nU := len(idx.landmarks)
+	return idx.labels[int(v)*nU : int(v)*nU+nU]
 }
 
 // NumLandmarks returns |U|.
@@ -95,31 +108,19 @@ func (idx *Index) Restrict(keep []int) (*Index, error) {
 			return nil, fmt.Errorf("alt: landmark position %d out of range [0,%d)", i, len(idx.landmarks))
 		}
 		out.landmarks[j] = idx.landmarks[i]
-		copy(out.labels[j*idx.n:(j+1)*idx.n], idx.labels[i*idx.n:(i+1)*idx.n])
+	}
+	for v := int32(0); int(v) < idx.n; v++ {
+		src, dst := idx.row(v), out.row(v)
+		for j, i := range keep {
+			dst[j] = src[i]
+		}
 	}
 	return out, nil
 }
 
 // Bounds returns the landmark lower and upper bounds on d(s,t).
 func (idx *Index) Bounds(s, t int32) (lo, hi float64) {
-	hi = sssp.Inf
-	for i := 0; i < len(idx.landmarks); i++ {
-		ds := idx.labels[i*idx.n+int(s)]
-		dt := idx.labels[i*idx.n+int(t)]
-		if ds == sssp.Inf || dt == sssp.Inf {
-			continue
-		}
-		diff := ds - dt
-		if diff < 0 {
-			diff = -diff
-		}
-		if diff > lo {
-			lo = diff
-		}
-		if sum := ds + dt; sum < hi {
-			hi = sum
-		}
-	}
+	lo, hi = bounds(idx.row(s), idx.row(t))
 	// When a landmark lies on the s-t shortest path lo equals hi
 	// mathematically; floating-point rounding can leave lo one ulp
 	// above. Keep the interval well-formed.
@@ -127,6 +128,54 @@ func (idx *Index) Bounds(s, t int32) (lo, hi float64) {
 		lo = hi
 	}
 	return lo, hi
+}
+
+// infBits is the bit pattern of sssp.Inf, the label of a vertex a
+// landmark cannot reach.
+var infBits = math.Float64bits(sssp.Inf)
+
+// gapBits returns the bits of the lower bound |ds-dt| one landmark
+// gives, or of +0 when the landmark cannot reach an endpoint. That test
+// is true only on disconnected graphs, so it predicts well.
+func gapBits(ds, dt float64) uint64 {
+	if ds == sssp.Inf || dt == sssp.Inf {
+		return 0
+	}
+	return math.Float64bits(math.Abs(ds - dt))
+}
+
+// bounds reduces the label rows of s and t to the widest lower bound
+// and the tightest upper bound, in four independent accumulator pairs
+// combined at the end. A landmark that cannot reach an endpoint gives
+// gap +0 and a sum of at least sssp.Inf, so it moves neither bound.
+//
+// Labels lie in [0, sssp.Inf] (Read rejects anything else), and over
+// non-negative floats the IEEE 754 bit patterns order exactly like the
+// values. So the reduction takes the built-in integer max and min of
+// the bits, which compile to conditional moves rather than
+// data-dependent branches, and stays exact and independent of landmark
+// order.
+func bounds(rs, rt []float64) (lo, hi float64) {
+	rt = rt[:len(rs)]
+	var lo0, lo1, lo2, lo3 uint64
+	hi0, hi1, hi2, hi3 := infBits, infBits, infBits, infBits
+	i := 0
+	for ; i+4 <= len(rs); i += 4 {
+		lo0 = max(lo0, gapBits(rs[i], rt[i]))
+		lo1 = max(lo1, gapBits(rs[i+1], rt[i+1]))
+		lo2 = max(lo2, gapBits(rs[i+2], rt[i+2]))
+		lo3 = max(lo3, gapBits(rs[i+3], rt[i+3]))
+		hi0 = min(hi0, math.Float64bits(rs[i]+rt[i]))
+		hi1 = min(hi1, math.Float64bits(rs[i+1]+rt[i+1]))
+		hi2 = min(hi2, math.Float64bits(rs[i+2]+rt[i+2]))
+		hi3 = min(hi3, math.Float64bits(rs[i+3]+rt[i+3]))
+	}
+	for ; i < len(rs); i++ {
+		lo0 = max(lo0, gapBits(rs[i], rt[i]))
+		hi0 = min(hi0, math.Float64bits(rs[i]+rt[i]))
+	}
+	return math.Float64frombits(max(max(lo0, lo1), max(lo2, lo3))),
+		math.Float64frombits(min(min(hi0, hi1), min(hi2, hi3)))
 }
 
 // BoundsInfo is the provenance of one landmark interval: the bounds
@@ -143,9 +192,9 @@ type BoundsInfo struct {
 // explainability. The interval matches Bounds exactly.
 func (idx *Index) BoundsDetail(s, t int32) BoundsInfo {
 	info := BoundsInfo{Hi: sssp.Inf, LoLandmark: -1, HiLandmark: -1}
-	for i := 0; i < len(idx.landmarks); i++ {
-		ds := idx.labels[i*idx.n+int(s)]
-		dt := idx.labels[i*idx.n+int(t)]
+	rs, rt := idx.row(s), idx.row(t)
+	for i, ds := range rs {
+		dt := rt[i]
 		if ds == sssp.Inf || dt == sssp.Inf {
 			continue
 		}
@@ -182,21 +231,7 @@ func (idx *Index) Estimate(s, t int32) float64 {
 
 // LowerBound returns the admissible A* heuristic to target t at vertex v.
 func (idx *Index) LowerBound(v, t int32) float64 {
-	var lo float64
-	for i := 0; i < len(idx.landmarks); i++ {
-		dv := idx.labels[i*idx.n+int(v)]
-		dt := idx.labels[i*idx.n+int(t)]
-		if dv == sssp.Inf || dt == sssp.Inf {
-			continue
-		}
-		diff := dv - dt
-		if diff < 0 {
-			diff = -diff
-		}
-		if diff > lo {
-			lo = diff
-		}
-	}
+	lo, _ := bounds(idx.row(v), idx.row(t))
 	return lo
 }
 

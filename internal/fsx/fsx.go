@@ -7,12 +7,15 @@
 package fsx
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"repro/internal/faultinject"
 )
@@ -143,6 +146,71 @@ func VerifyTrailer(cr *CRCReader, wantLen int64, wantCRC uint32, what string) er
 	}
 	if cr.Sum32() != wantCRC {
 		return fmt.Errorf("%s: payload checksum %08x does not match trailer %08x (corrupt file)", what, cr.Sum32(), wantCRC)
+	}
+	return nil
+}
+
+// readChunk is how many values ReadSlice and ReadInto decode per read.
+const readChunk = 4096
+
+// ReadSlice reads n little-endian values of T from r. The slice grows
+// by doubling as the bytes arrive rather than being sized from n up
+// front, so a count taken from a header not yet verified costs at most
+// about twice the bytes the stream really holds.
+func ReadSlice[T uint8 | int32 | float64](r io.Reader, n int) ([]T, error) {
+	buf := chunkPool.Get().(*[]byte)
+	defer chunkPool.Put(buf)
+	out := make([]T, 0, min(n, readChunk))
+	for len(out) < n {
+		k := min(n-len(out), readChunk)
+		if len(out)+k > cap(out) {
+			out = append(make([]T, 0, min(n, 2*cap(out))), out...)
+		}
+		if err := readLE(r, out[len(out):len(out)+k], *buf); err != nil {
+			return nil, err
+		}
+		out = out[:len(out)+k]
+	}
+	return out, nil
+}
+
+// ReadInto fills dst with little-endian values of T read from r.
+func ReadInto[T uint8 | int32 | float64](r io.Reader, dst []T) error {
+	buf := chunkPool.Get().(*[]byte)
+	defer chunkPool.Put(buf)
+	for i := 0; i < len(dst); i += readChunk {
+		if err := readLE(r, dst[i:min(i+readChunk, len(dst))], *buf); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// chunkPool holds the byte buffers ReadSlice and ReadInto decode
+// through, each big enough for readChunk of the widest value.
+var chunkPool = sync.Pool{New: func() any {
+	b := make([]byte, 8*readChunk)
+	return &b
+}}
+
+// readLE fills dst, at most readChunk values, from r through buf.
+func readLE[T uint8 | int32 | float64](r io.Reader, dst []T, buf []byte) error {
+	var zero T
+	src := buf[:binary.Size(zero)*len(dst)]
+	if _, err := io.ReadFull(r, src); err != nil {
+		return err
+	}
+	switch d := any(dst).(type) {
+	case []uint8:
+		copy(d, src)
+	case []int32:
+		for i := range d {
+			d[i] = int32(binary.LittleEndian.Uint32(src[4*i:]))
+		}
+	case []float64:
+		for i := range d {
+			d[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+		}
 	}
 	return nil
 }

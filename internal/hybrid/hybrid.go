@@ -48,35 +48,14 @@ func New(m Distancer, lt *alt.Index) (*Estimator, error) {
 
 // Estimate returns the RNE estimate clamped into the landmark bounds.
 func (e *Estimator) Estimate(s, t int32) float64 {
-	if s == t {
-		return 0
-	}
-	est := e.m.Estimate(s, t)
-	lo, hi := e.lt.Bounds(s, t)
-	if est < lo {
-		return lo
-	}
-	if est > hi {
-		return hi
-	}
-	return est
+	return e.Guard(s, t).Est
 }
 
 // EstimateWithBounds additionally returns the certified interval
 // [lo, hi] containing the true distance.
 func (e *Estimator) EstimateWithBounds(s, t int32) (est, lo, hi float64) {
-	if s == t {
-		return 0, 0, 0
-	}
-	lo, hi = e.lt.Bounds(s, t)
-	est = e.m.Estimate(s, t)
-	if est < lo {
-		est = lo
-	}
-	if est > hi {
-		est = hi
-	}
-	return est, lo, hi
+	r := e.Guard(s, t)
+	return r.Est, r.Lo, r.Hi
 }
 
 // GuardResult is one guarded estimate: the clamped value, the raw
@@ -102,7 +81,12 @@ func (e *Estimator) Guard(s, t int32) GuardResult {
 		return GuardResult{}
 	}
 	lo, hi := e.lt.Bounds(s, t)
-	raw := e.m.Estimate(s, t)
+	return clamp(e.m.Estimate(s, t), lo, hi)
+}
+
+// clamp clamps raw into [lo, hi] and records which bound, if any, it
+// violated.
+func clamp(raw, lo, hi float64) GuardResult {
 	r := GuardResult{Est: raw, Raw: raw, Lo: lo, Hi: hi}
 	if r.Est < lo {
 		r.Est, r.ClampedLow = lo, true
@@ -130,19 +114,11 @@ func (e *Estimator) Explain(s, t int32) Provenance {
 		return Provenance{LoLandmark: -1, HiLandmark: -1}
 	}
 	info := e.lt.BoundsDetail(s, t)
-	raw := e.m.Estimate(s, t)
-	p := Provenance{
-		GuardResult: GuardResult{Est: raw, Raw: raw, Lo: info.Lo, Hi: info.Hi},
+	return Provenance{
+		GuardResult: clamp(e.m.Estimate(s, t), info.Lo, info.Hi),
 		LoLandmark:  info.LoLandmark,
 		HiLandmark:  info.HiLandmark,
 	}
-	if p.Est < p.Lo {
-		p.Est, p.ClampedLow = p.Lo, true
-	}
-	if p.Est > p.Hi {
-		p.Est, p.ClampedHigh = p.Hi, true
-	}
-	return p
 }
 
 // Bounds exposes the landmark interval for (s, t) without evaluating

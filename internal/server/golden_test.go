@@ -10,25 +10,32 @@ import (
 	"path/filepath"
 	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/alt"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/hybrid"
+	"repro/internal/index"
 	"repro/internal/shard"
 )
 
 var updateGolden = flag.Bool("update-golden", false,
-	"rewrite testdata/distance_golden.json from the current handlers")
+	"rewrite the testdata/*_golden.json corpora from the current handlers")
 
-const goldenPath = "testdata/distance_golden.json"
+const (
+	goldenPath         = "testdata/distance_golden.json"
+	batchKNNGoldenPath = "testdata/batch_knn_golden.json"
+)
 
 // goldenCase is one frozen exchange: the request URI sent to one of
-// the corpus servers and the exact answer it must produce.
+// the corpus servers and the exact answer it must produce. Request,
+// when set, is the JSON body of a POST; otherwise the query is a GET.
 type goldenCase struct {
-	Server      string `json:"server"` // "full", "guarded" or "shard"
+	Server      string `json:"server"` // "full", "guarded", "indexed" or "shard"
 	Query       string `json:"query"`
+	Request     string `json:"request,omitempty"`
 	Status      int    `json:"status"`
 	ContentType string `json:"content_type"`
 	ShardOwner  string `json:"shard_owner,omitempty"`
@@ -179,7 +186,11 @@ func goldenQueries(sh goldenShard) []goldenCase {
 // serveGolden answers c.Query on h and records the result into c.
 func serveGolden(h http.Handler, c goldenCase) goldenCase {
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, c.Query, nil))
+	req := httptest.NewRequest(http.MethodGet, c.Query, nil)
+	if c.Request != "" {
+		req = httptest.NewRequest(http.MethodPost, c.Query, strings.NewReader(c.Request))
+	}
+	h.ServeHTTP(rec, req)
 	c.Status = rec.Code
 	c.ContentType = rec.Header().Get("Content-Type")
 	c.ShardOwner = rec.Header().Get("Rne-Shard-Owner")
@@ -198,8 +209,16 @@ func TestDistanceGoldenCorpus(t *testing.T) {
 		t.Skip("corpus floats were produced on amd64")
 	}
 	hs, sh := corpusHandlers(t)
+	checkGolden(t, goldenPath, hs, goldenQueries(sh))
+}
+
+// checkGolden serves every case on its corpus handler and compares the
+// answers with the frozen corpus at path, or rewrites the corpus under
+// -update-golden.
+func checkGolden(t *testing.T, path string, hs map[string]http.Handler, cases []goldenCase) {
+	t.Helper()
 	var got []goldenCase
-	for _, c := range goldenQueries(sh) {
+	for _, c := range cases {
 		got = append(got, serveGolden(hs[c.Server], c))
 	}
 	if *updateGolden {
@@ -210,15 +229,15 @@ func TestDistanceGoldenCorpus(t *testing.T) {
 		if err := enc.Encode(got); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenPath, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	raw, err := os.ReadFile(goldenPath)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,4 +253,74 @@ func TestDistanceGoldenCorpus(t *testing.T) {
 			t.Errorf("case %d:\n got %+v\nwant %+v", i, got[i], want[i])
 		}
 	}
+}
+
+// batchKNNQueries lists the /batch and /knn corpus requests. The
+// guarded batches mix pairs the guard clamps low ((0,6), (0,25)), clamps
+// high ((0,3), (0,9)) and leaves alone, with and without explain=1; the
+// shard batches do the same for owned sources with owned and
+// cross-shard targets ((0,62) and (2,18) clamp low, (0,5) and (0,10)
+// high) and add a misdirected batch. /knn runs on the full replica with
+// a spatial index and on the shard replica, which has none.
+func batchKNNQueries() []goldenCase {
+	var cases []goldenCase
+	add := func(server, query, request string) {
+		cases = append(cases, goldenCase{Server: server, Query: query, Request: request})
+	}
+	const guardedPairs = `{"pairs":[[0,6],[0,3],[1,42],[0,25],[0,9],[5,5],[17,9],[63,0]]}`
+	const shardPairs = `{"pairs":[[0,62],[0,5],[0,2],[2,18],[0,10],[0,1],[2,2]]}`
+	for _, server := range []string{"guarded", "shard"} {
+		pairs := guardedPairs
+		if server == "shard" {
+			pairs = shardPairs
+		}
+		add(server, "/batch", pairs)
+		add(server, "/batch?explain=1", pairs)
+		add(server, "/batch", `{"pairs":[]}`)
+		add(server, "/batch", `{"pairs":[[0,64]]}`)
+		add(server, "/batch", `{"pairs":[[0,1]`)
+	}
+	add("shard", "/batch", `{"pairs":[[0,2],[1,0]]}`)
+	for _, q := range []string{
+		"/knn?s=1&k=3",
+		"/knn?s=17&k=5&explain=1",
+		"/knn?s=63&k=32",
+		"/knn?s=0&k=1",
+		"/knn?s=1&k=0",
+		"/knn?s=1&k=33",
+		"/knn?s=64&k=3",
+		"/knn",
+	} {
+		add("indexed", q, "")
+	}
+	add("shard", "/knn?s=0&k=3", "")
+	return cases
+}
+
+// TestBatchKNNGoldenCorpus replays the frozen /batch and /knn corpus
+// byte for byte, like TestDistanceGoldenCorpus.
+func TestBatchKNNGoldenCorpus(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("corpus floats were produced on amd64")
+	}
+	sets, _ := corpusSets(t)
+	m := sets["full"].Model
+	var targets []int32
+	for v := int32(0); int(v) < m.NumVertices(); v += 2 {
+		targets = append(targets, v)
+	}
+	idx, err := index.Build(m, targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets["indexed"] = ModelSet{Model: m, Index: idx, Version: "golden"}
+	hs := make(map[string]http.Handler, len(sets))
+	for name, set := range sets {
+		srv, err := NewFromSet(set, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs[name] = srv.Handler()
+	}
+	checkGolden(t, batchKNNGoldenPath, hs, batchKNNQueries())
 }

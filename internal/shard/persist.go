@@ -32,6 +32,10 @@ const (
 // comfortably covers the paper's largest testbed (USW, 6.3M vertices).
 const maxMapVertices = 1 << 28
 
+// maxDim bounds a shard model's embedding dimension, as emb.ReadMatrix
+// does for any matrix.
+const maxDim = 1 << 20
+
 // WriteTo streams the routing map in the RNESMAP1 format.
 func (m *Map) WriteTo(w io.Writer) (int64, error) {
 	plen := 3*8 + int64(len(m.owner))
@@ -214,18 +218,24 @@ func ReadModel(r io.Reader) (*Model, error) {
 		}
 	}
 	if k < 1 || k > MaxShards || sid < 0 || sid >= k || cut < 1 ||
-		n < 1 || n > maxMapVertices || owned < 1 || owned > n || dim < 1 {
+		n < 1 || n > maxMapVertices || owned < 1 || owned > n || dim < 1 || dim > maxDim {
 		return nil, fmt.Errorf("shard: implausible model header: shard %d/%d, cut %d, %d/%d vertices, dim %d",
 			sid, k, cut, owned, n, dim)
+	}
+	// The id, cover and owner tables and the owned matrix are sized by
+	// the header; the upper matrix's row count is implied by the rest of
+	// the payload. Check they fit inside it before reading any of them.
+	fixed := 6*8 + 2*8 + owned*4 + n*4 + n
+	ownedBytes := emb.MatrixFileSize(int(owned), int(dim))
+	upperBytes := plen - fixed - ownedBytes
+	if upperBytes <= 0 {
+		return nil, fmt.Errorf("shard: model payload %d bytes leaves no room for the upper matrix", plen)
 	}
 	m := &Model{
 		shardID:   int(sid),
 		numShards: int(k),
 		cutLevel:  int(cut),
 		n:         int(n),
-		ownedIDs:  make([]int32, owned),
-		coverIdx:  make([]int32, n),
-		owner:     make([]uint8, n),
 	}
 	for _, p := range []*float64{&m.p, &m.scale} {
 		if err := binary.Read(cr, binary.LittleEndian, p); err != nil {
@@ -235,24 +245,18 @@ func ReadModel(r io.Reader) (*Model, error) {
 	if m.p < 1 || math.IsNaN(m.p) || m.scale <= 0 || math.IsNaN(m.scale) {
 		return nil, fmt.Errorf("shard: implausible metric parameters p=%v scale=%v", m.p, m.scale)
 	}
-	if err := binary.Read(cr, binary.LittleEndian, m.ownedIDs); err != nil {
+	// The tables grow as their bytes arrive, so even a payload length
+	// that agrees with a crafted header costs no more than the file holds.
+	var err error
+	if m.ownedIDs, err = fsx.ReadSlice[int32](cr, int(owned)); err != nil {
 		return nil, fmt.Errorf("shard: reading owned vertex ids: %w", err)
 	}
-	if err := binary.Read(cr, binary.LittleEndian, m.coverIdx); err != nil {
+	if m.coverIdx, err = fsx.ReadSlice[int32](cr, int(n)); err != nil {
 		return nil, fmt.Errorf("shard: reading cover table: %w", err)
 	}
-	if _, err := io.ReadFull(cr, m.owner); err != nil {
+	if m.owner, err = fsx.ReadSlice[uint8](cr, int(n)); err != nil {
 		return nil, fmt.Errorf("shard: reading owner table: %w", err)
 	}
-	// Each matrix reads exactly its framed section (the upper matrix's
-	// row count is implied by the remaining payload).
-	fixed := 6*8 + 2*8 + owned*4 + n*4 + n
-	ownedBytes := emb.MatrixFileSize(int(owned), int(dim))
-	upperBytes := plen - fixed - ownedBytes
-	if upperBytes <= 0 {
-		return nil, fmt.Errorf("shard: model payload %d bytes leaves no room for the upper matrix", plen)
-	}
-	var err error
 	if m.owned, err = emb.ReadMatrix(cr, ownedBytes); err != nil {
 		return nil, fmt.Errorf("shard: reading owned embeddings: %w", err)
 	}

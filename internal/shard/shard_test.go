@@ -2,13 +2,16 @@ package shard
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/alt"
 	"repro/internal/core"
+	"repro/internal/emb"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/sssp"
@@ -328,6 +331,38 @@ func TestCorruptFilesRejected(t *testing.T) {
 		}
 		if err := tc.load(badPath); err == nil {
 			t.Fatalf("%s: truncated file loaded cleanly", filepath.Base(tc.path))
+		}
+	}
+}
+
+// A crafted shard header claiming 2^24 vertices must fail without
+// sizing the id, cover and owner tables from those counts: both when
+// the payload length leaves no room for them and when it agrees with
+// them but no table bytes follow.
+func TestModelLoadCraftedHeaderDoesNotAllocate(t *testing.T) {
+	const n, dim = 1 << 24, 8
+	head := int64(6*8 + 2*8)
+	tables := int64(n*4 + n*4 + n)
+	for name, plen := range map[string]int64{
+		"payload too short": head,
+		"payload agrees":    head + tables + emb.MatrixFileSize(n, dim) + emb.MatrixFileSize(1, dim),
+	} {
+		var b bytes.Buffer
+		b.WriteString(shardMagic)
+		for _, v := range []any{plen, []int64{0, 2, 1, n, n, dim}, []float64{1, 1}} {
+			if err := binary.Write(&b, binary.LittleEndian, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m, err := ReadModel(&b)
+		runtime.ReadMemStats(&after)
+		if err == nil || m != nil {
+			t.Fatalf("%s: crafted header loaded", name)
+		}
+		if delta := after.TotalAlloc - before.TotalAlloc; delta > 1<<20 {
+			t.Fatalf("%s: crafted header allocated %.1f MiB before failing: %v", name, float64(delta)/(1<<20), err)
 		}
 	}
 }
